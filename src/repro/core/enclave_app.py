@@ -28,7 +28,7 @@ from repro.core.journal import WriteAheadJournal
 from repro.core.locks import LockManager
 from repro.core.request_handler import RequestHandler, UploadSink
 from repro.core.requests import Op, Request, Response
-from repro.core.rollback import FlatStoreGuard, RollbackGuard
+from repro.core.rollback import AnchoredGuard, FlatStoreGuard, RollbackGuard
 from repro.core.rotation import (
     RotationStats,
     replay_state,
@@ -112,8 +112,6 @@ class SeGShareOptions:
     #: executing requests when the platform clock is a ``ParallelClock``
     #: (mirrors the SDK's ``uworkers``/``tworkers`` setting).
     switchless_workers: int = 4
-    #: Shard count for the rollback-guard / Merkle-bucket serial locks.
-    lock_shards: int = 16
     #: The enclave serves one repository shared with live peers (cluster
     #: members over one backend).  A booting enclave must then leave the
     #: journal untouched: the marker on the store may be another member's
@@ -135,8 +133,6 @@ class SeGShareOptions:
             raise ValueError("metadata_cache_bytes must be positive or None")
         if self.switchless_workers < 1:
             raise ValueError("switchless_workers must be at least 1")
-        if self.lock_shards < 1:
-            raise ValueError("lock_shards must be at least 1")
         if self.authz_backend not in AUTHZ_BACKENDS:
             raise ValueError(
                 f"bad authz backend {self.authz_backend!r}; "
@@ -333,7 +329,6 @@ class SeGShareEnclave(Enclave):
                 enclave=self,
                 counter=counter,
                 locks=self.locks,
-                lock_shards=self._options.lock_shards,
             )
             self.manager.guard = self.guard
             self.group_guard = FlatStoreGuard(
@@ -357,6 +352,10 @@ class SeGShareEnclave(Enclave):
         if self._options.audit:
             self.audit_log = AuditLog(self.manager, self._root_key)
 
+    def _guards(self) -> "list[AnchoredGuard]":
+        """The installed rollback guards, content tree first."""
+        return self.engine.guards if self.engine is not None else []
+
     def _finish_journal_recovery(self, journal: WriteAheadJournal, recovered: bool) -> None:
         """Shared epilogue of crash recovery (restart and cluster takeover).
 
@@ -372,26 +371,17 @@ class SeGShareEnclave(Enclave):
         if recovered:
             rec = journal.recovered_epoch
             if rec is not None:
-                if self.guard is not None:
-                    if rec.fs_main and self.guard.recompute_root_hash() != rec.fs_main:
+                for guard, main in ((self.guard, rec.fs_main), (self.group_guard, rec.group_main)):
+                    if guard is None:
+                        continue
+                    if main and guard.recompute_root_hash() != main:
                         raise RollbackDetected(
-                            "recovered file-system state does not match the "
+                            f"recovered {guard.NAME} state does not match the "
                             "epoch's journal record"
                         )
-                    self.guard.rebuild()
-                if self.group_guard is not None:
-                    if rec.group_main and self.group_guard.recompute_main() != rec.group_main:
-                        raise RollbackDetected(
-                            "recovered group-store state does not match the "
-                            "epoch's journal record"
-                        )
-                    self.group_guard.accept_current_state()
+                    guard.rebuild()
             else:
-                if self.guard is not None:
-                    self.guard.verify_restored_state()
-                    self.guard.accept_current_state()
-                if self.group_guard is not None:
-                    self.group_guard.accept_current_state()
+                self._reanchor_restored_state()
             if self.manager is not None and self.manager.dedup is not None:
                 self.manager.dedup.sweep_orphans()
         journal.recover_finish()
@@ -685,11 +675,20 @@ class SeGShareEnclave(Enclave):
             self.cache.clear()
         if self.manager is not None and self.manager.dedup is not None:
             self.manager.dedup.reload_index()
-        if self.guard is not None:
-            self.guard.verify_restored_state()
-            self.guard.accept_current_state()
-        if self.group_guard is not None:
-            self.group_guard.accept_current_state()
+        self._reanchor_restored_state()
+
+    def _reanchor_restored_state(self) -> None:
+        """Check every guard's restored state is internally consistent,
+        then re-anchor it against the current counter (§V-G).
+
+        All guards are checked before any is re-anchored, so a rejected
+        restore leaves every anchor untouched.
+        """
+        guards = self._guards()
+        for guard in guards:
+            guard.verify_restored_state()
+        for guard in guards:
+            guard.accept_current_state()
 
     # -- root-key rotation (production extension; see repro/core/rotation.py) ----
 
@@ -833,10 +832,11 @@ class SeGShareEnclave(Enclave):
         rejected instead of silently serving a rolled-back snapshot.
         """
         self._check_alive()
-        if self.guard is None or self.group_guard is None:
+        guards = self._guards()
+        if not guards:
             raise EnclaveError("cluster catch-up requires whole-FS rollback protection")
-        self.guard.verify_anchor_fresh()
-        self.group_guard.verify_anchor_fresh()
+        for guard in guards:
+            guard.verify_anchor_fresh()
         return {"fs": True, "group": True}
 
     @ecall

@@ -1,9 +1,12 @@
 """Rollback protection (paper Sections V-D and V-E).
 
-Individual-file rollback protection builds a hash tree mirroring the
-directory tree: every content file, ACL, and (empty) directory is a leaf;
-every directory is an inner node.  Two optimizations from the paper are
-implemented exactly:
+One skeleton, :class:`AnchoredGuard`, protects both stores; its two
+layouts differ only in how nodes are arranged.  :class:`RollbackGuard`
+builds a hash tree mirroring the content store's directory tree: every
+content file, ACL, and (empty) directory is a leaf; every directory is
+an inner node.  :class:`FlatStoreGuard` protects the flat group store
+(paper: "a straightforward adaption") with a single node.  Two
+optimizations from the paper are implemented exactly:
 
 * **multiset hashes** (MSet-XOR-Hash) replace plain hashes, so updating a
   child only subtracts the stale child hash and adds the new one — no
@@ -20,7 +23,7 @@ enabled (Section V-E) every update also increments a TEE monotonic
 counter whose value is stored in the anchor, so replaying an old
 *complete* file system (anchor included) is detected on the next read.
 
-Guard node objects and the anchor live in the content store under a
+Guard node objects and the anchor live in their store under a
 NUL-prefixed namespace that user paths cannot reach; their freshness
 needs no separate protection because each is authenticated by its
 parent's bucket digest, up to the counter-protected root.
@@ -46,7 +49,12 @@ from repro.sgx.enclave import Enclave
 from repro.util.serialization import Reader, Writer
 
 _ANCHOR_PATH = GUARD_PREFIX + "anchor"
+_FLAT_NODE_PATH = GROUP_GUARD_PREFIX + "node"
+_FLAT_ANCHOR_PATH = GROUP_GUARD_PREFIX + "anchor"
 ROOT = "/"
+
+#: Serial shards for the content tree's node locks.
+LOCK_SHARDS = 16
 
 
 @dataclass
@@ -69,6 +77,19 @@ def _node_path(dir_path: str) -> str:
     return GUARD_PREFIX + "node:" + dir_path
 
 
+def _encode_buckets(w: Writer, buckets: list[MSetXorHash]) -> bytes:
+    w.u32(len(buckets))
+    for bucket in buckets:
+        w.bytes(bucket.serialize())
+    return w.take()
+
+
+def _decode_buckets(key: bytes, r: Reader) -> list[MSetXorHash]:
+    buckets = [MSetXorHash.deserialize(key, r.bytes()) for _ in range(r.u32())]
+    r.expect_end()
+    return buckets
+
+
 @dataclass
 class _Node:
     """Inner-node state for one directory."""
@@ -78,29 +99,44 @@ class _Node:
     buckets: list[MSetXorHash]
 
     def serialize(self) -> bytes:
-        w = Writer().str(self.path).bytes(self.dir_hash).u32(len(self.buckets))
-        for bucket in self.buckets:
-            w.bytes(bucket.serialize())
-        return w.take()
+        return _encode_buckets(Writer().str(self.path).bytes(self.dir_hash), self.buckets)
 
     @classmethod
     def deserialize(cls, key: bytes, data: bytes) -> "_Node":
         r = Reader(data)
-        path = r.str()
-        dir_hash = r.bytes()
-        count = r.u32()
-        buckets = [MSetXorHash.deserialize(key, r.bytes()) for _ in range(count)]
-        r.expect_end()
-        return cls(path=path, dir_hash=dir_hash, buckets=buckets)
+        return cls(path=r.str(), dir_hash=r.bytes(), buckets=_decode_buckets(key, r))
 
 
-class RollbackGuard:
-    """The hash tree over the content store.
+class _FlatNode(_Node):
+    """The group store's one node: buckets only, keyed :data:`ROOT`."""
 
-    ``counter``/``counter_id`` enable whole-file-system protection; pass a
+    def serialize(self) -> bytes:
+        return _encode_buckets(Writer(), self.buckets)
+
+    @classmethod
+    def deserialize(cls, key: bytes, data: bytes) -> "_Node":
+        return cls(path=ROOT, dir_hash=b"", buckets=_decode_buckets(key, Reader(data)))
+
+
+class AnchoredGuard:
+    """The anchored MSet-hash machinery both guard layouts share.
+
+    A layout supplies ``_NODE`` (node serialization), its key label,
+    counter id and name, ``_node_main``, ``_walk_dir`` (member
+    enumeration), the update/verify hooks, its store accessors with
+    their literal crashpoints, its lock factories with literal lock
+    names, and ``_charge_hash`` if it charges no hash time.
+
+    ``counter`` enables whole-file-system protection; pass a
     :class:`MonotonicCounter` or :class:`RoteCounterService` plus the
     enclave that owns the counter.
     """
+
+    _NODE: type[_Node] = _Node
+    _KEY_LABEL = ""
+    _COUNTER_ID = ""
+    #: The protected store, as error messages name it.
+    NAME = ""
 
     def __init__(
         self,
@@ -109,26 +145,14 @@ class RollbackGuard:
         buckets: int = 64,
         enclave: Enclave | None = None,
         counter: "MonotonicCounter | RoteCounterService | None" = None,
-        counter_id: str = "segshare-fs",
         locks: LockManager | None = None,
-        lock_shards: int = 16,
     ) -> None:
         self._manager = manager
-        self._key = derive_key(root_key, "segshare/rollback")
+        self._key = derive_key(root_key, self._KEY_LABEL)
         self._buckets = buckets
         self._enclave = enclave
         self._counter = counter
-        self._counter_id = counter_id
-        # Sharded node locks: concurrent requests updating disjoint files
-        # still meet at shared inner nodes (every write propagates to the
-        # root), so each node's load-modify-save runs under a serial shard
-        # keyed by the node's path.  Node *reads* on the verify path ride
-        # on the request-level path locks — a native implementation would
-        # use per-node reader-writer locks there, and exclusive read-side
-        # shards would serialize the disjoint-read fast path this model
-        # exists to exhibit.
         self._locks = locks
-        self._lock_shards = lock_shards
         #: With the counter service unreachable (ROTE quorum lost), reads
         #: may proceed on the hash chain alone; writes still fail because
         #: the anchor cannot be re-counted.  Set False to fail reads too.
@@ -143,9 +167,9 @@ class RollbackGuard:
         self._pending_root_main: bytes | None = None
         if counter is not None and enclave is None:
             raise RollbackDetected("whole-FS protection needs the owning enclave")
-        if counter is not None and not counter.exists(counter_id):
-            counter.create(enclave, counter_id)
-        if not self._manager.raw_exists(_node_path(ROOT)):
+        if counter is not None and not counter.exists(self._COUNTER_ID):
+            counter.create(enclave, self._COUNTER_ID)
+        if not self._node_exists(ROOT):
             self._bootstrap()
 
     # -- batched updates ------------------------------------------------------------
@@ -207,7 +231,7 @@ class RollbackGuard:
         nodes, root_main = snap
         self._batching = True
         self._pending_nodes = {
-            path: _Node.deserialize(self._key, data) for path, data in nodes.items()
+            path: self._NODE.deserialize(self._key, data) for path, data in nodes.items()
         }
         self._pending_root_main = root_main
 
@@ -231,77 +255,32 @@ class RollbackGuard:
             self._key, b"leaf\x00" + path.encode("utf-8") + b"\x00" + content_hash, hashlib.sha256
         ).digest()
 
-    def _node_main(self, node: _Node) -> bytes:
-        mac = hmac.new(self._key, b"node\x00", hashlib.sha256)
-        mac.update(node.path.encode("utf-8") + b"\x00")
-        mac.update(node.dir_hash)
-        for bucket in node.buckets:
-            mac.update(bucket.digest())
-        self._charge_hash(64 + 40 * len(node.buckets))
-        return mac.digest()
-
     def _bucket_of(self, child_path: str) -> int:
         digest = hashlib.sha256(child_path.encode("utf-8")).digest()
         return int.from_bytes(digest[:4], "big") % self._buckets
 
-    # -- sharded node locks ---------------------------------------------------
-
-    def _node_lock(self, dir_path: str) -> AbstractContextManager[None]:
-        """The serial shard guarding one inner node's load-modify-save."""
-        if self._locks is None:
-            return nullcontext()
-        digest = hashlib.sha256(dir_path.encode("utf-8")).digest()
-        return self._locks.shard(
-            "rb-node", int.from_bytes(digest[:4], "big"), shards=self._lock_shards
-        )
-
-    def _anchor_lock(self) -> AbstractContextManager[None]:
-        """The anchor write — and its counter increment — is one serial
-        resource for the whole file system."""
-        if self._locks is None:
-            return nullcontext()
-        return self._locks.serial("rb-anchor", account="anchor-wait")
-
     # -- node persistence --------------------------------------------------------------
 
-    def _empty_node(self, dir_path: str, dir_hash: bytes) -> _Node:
-        return _Node(
-            path=dir_path,
+    def _empty_node(self, path: str, dir_hash: bytes) -> _Node:
+        return self._NODE(
+            path=path,
             dir_hash=dir_hash,
             buckets=[MSetXorHash(self._key) for _ in range(self._buckets)],
         )
 
-    def _load_node(self, dir_path: str) -> _Node:
+    def _load_node(self, path: str) -> _Node:
         if self._batching:
-            pending = self._pending_nodes.get(dir_path)
+            pending = self._pending_nodes.get(path)
             if pending is not None:
                 return pending
-        data = self._manager.raw_read(_node_path(dir_path))
-        return _Node.deserialize(self._key, data)
+        return self._NODE.deserialize(self._key, self._read_node(path))
 
     def _save_node(self, node: _Node) -> None:
         if self._batching:
             self._pending_nodes[node.path] = node
             return
-        if self._enclave is not None:
-            self._enclave.platform.crashpoint("anchor:fs-node-write")
-        self._manager.raw_write(_node_path(node.path), node.serialize())
+        self._persist_node(node)
         self.stats.node_saves += 1
-
-    def _delete_node(self, dir_path: str) -> None:
-        """Remove a directory's node (pending copy and persisted object)."""
-        if self._batching:
-            self._pending_nodes.pop(dir_path, None)
-        node_path = _node_path(dir_path)
-        if self._manager.raw_exists(node_path):
-            if self._enclave is not None:
-                self._enclave.platform.crashpoint("anchor:fs-node-delete")
-            self._manager.raw_delete(node_path)
-
-    def _node_exists(self, dir_path: str) -> bool:
-        if self._batching and dir_path in self._pending_nodes:
-            return True
-        return self._manager.raw_exists(_node_path(dir_path))
 
     # -- anchor ---------------------------------------------------------------------------
 
@@ -312,19 +291,12 @@ class RollbackGuard:
         with self._anchor_lock():
             counter_value = 0
             if self._counter is not None:
-                counter_value = self._counter.increment(self._enclave, self._counter_id)
-                # The window a cluster failover must close: the quorum
-                # already advanced but the anchor naming the new value is
-                # not yet persisted.  A successor's recovery rolls the
-                # batch back and re-anchors, re-counting the anchor.
-                if self._enclave is not None:
-                    self._enclave.platform.crashpoint("anchor:fs-counter-incremented")
-            blob = Writer().bytes(root_main).u64(counter_value).take()
-            self._manager.raw_write(_ANCHOR_PATH, blob)
+                counter_value = self._counter.increment(self._enclave, self._COUNTER_ID)
+            self._persist_anchor(Writer().bytes(root_main).u64(counter_value).take())
         self.stats.anchor_writes += 1
 
     def _read_anchor(self) -> tuple[bytes, int]:
-        r = Reader(self._manager.raw_read(_ANCHOR_PATH))
+        r = Reader(self._read_anchor_blob())
         root_main = r.bytes()
         counter_value = r.u64()
         r.expect_end()
@@ -336,14 +308,16 @@ class RollbackGuard:
             # authoritative root lives in enclave memory until commit.
             # Enclave memory needs no counter freshness check.
             if root_main != self._pending_root_main:
-                raise RollbackDetected("root hash does not match the pending anchor")
+                raise RollbackDetected(
+                    f"{self.NAME} root hash does not match the pending anchor"
+                )
             return
         stored_main, stored_counter = self._read_anchor()
         if stored_main != root_main:
-            raise RollbackDetected("root hash does not match the anchored value")
+            raise RollbackDetected(f"{self.NAME} root hash does not match the anchored value")
         if self._counter is not None:
             try:
-                current = self._counter.read(self._enclave, self._counter_id)
+                current = self._counter.read(self._enclave, self._COUNTER_ID)
             except CounterError:
                 if not self.allow_degraded_reads:
                     raise
@@ -353,9 +327,152 @@ class RollbackGuard:
                 return
             if stored_counter != current:
                 raise RollbackDetected(
-                    "file system rolled back: anchor counter "
+                    f"{self.NAME} rolled back: anchor counter "
                     f"{stored_counter} != TEE counter {current}"
                 )
+
+    def _bootstrap(self) -> None:
+        """First-ever start: anchor the store's current state."""
+        self.rebuild()
+
+    # -- maintenance ---------------------------------------------------------------------------
+
+    def root_hash(self) -> bytes:
+        """Current root main hash (for backup/reset flows)."""
+        return self._node_main(self._load_node(ROOT))
+
+    def recompute_root_hash(self) -> bytes:
+        """Full recomputation of the root main hash from storage, without
+        modifying any node — the consistency check of the restore flow."""
+        return self._walk_dir(ROOT, save=False)
+
+    def rebuild(self) -> None:
+        """Rebuild every node from current storage and re-anchor them.
+
+        Used when enabling rollback protection on an existing share and by
+        epoch crash recovery, whose stored nodes predate the epoch.
+        """
+        self._write_anchor(self._walk_dir(ROOT, save=True))
+
+    def verify_restored_state(self) -> None:
+        """Check a restored backup's internal consistency (paper §V-G).
+
+        The recomputed root hash must match both the restored anchor's
+        value and the restored root node — i.e. the backup is a complete,
+        untampered snapshot.  The counter is *not* checked here; the
+        caller re-anchors afterwards with :meth:`accept_current_state`.
+        """
+        recomputed = self.recompute_root_hash()
+        stored_main, _ = self._read_anchor()
+        if recomputed != stored_main or recomputed != self.root_hash():
+            raise RollbackDetected(f"restored {self.NAME} is internally inconsistent")
+
+    def accept_current_state(self) -> None:
+        """Re-anchor the *current* storage state (CA-authorized reset, §V-G).
+
+        Recomputes nothing — the nodes in storage are taken as-is and the
+        anchor (plus counter) is rewritten to match them.  Only the
+        backup-restore flow and crash recovery may call this, after
+        :meth:`verify_restored_state` (or an undo-log restore) vouched
+        for the nodes.
+        """
+        self._write_anchor(self.root_hash())
+
+    def verify_anchor_fresh(self) -> None:
+        """Prove the anchor is both ours and *fresh* — degraded mode off.
+
+        A replica catching up after join (or takeover) must not start
+        serving from a rolled-back snapshot just because the quorum is
+        momentarily unreachable, so this check refuses the degraded-read
+        escape hatch that normal reads are allowed.
+        """
+        saved, self.allow_degraded_reads = self.allow_degraded_reads, False
+        try:
+            self._verify_anchor(self.root_hash())
+        finally:
+            self.allow_degraded_reads = saved
+
+
+class RollbackGuard(AnchoredGuard):
+    """The hash tree over the content store: one node per directory."""
+
+    _KEY_LABEL = "segshare/rollback"
+    _COUNTER_ID = "segshare-fs"
+    NAME = "file system"
+
+    # -- store accessors ------------------------------------------------------------
+
+    def _read_node(self, dir_path: str) -> bytes:
+        return self._manager.raw_read(_node_path(dir_path))
+
+    def _node_exists(self, dir_path: str) -> bool:
+        if self._batching and dir_path in self._pending_nodes:
+            return True
+        return self._manager.raw_exists(_node_path(dir_path))
+
+    def _persist_node(self, node: _Node) -> None:
+        if self._enclave is not None:
+            self._enclave.platform.crashpoint("anchor:fs-node-write")
+        self._manager.raw_write(_node_path(node.path), node.serialize())
+
+    def _delete_node(self, dir_path: str) -> None:
+        """Remove a directory's node (pending copy and persisted object)."""
+        if self._batching:
+            self._pending_nodes.pop(dir_path, None)
+        node_path = _node_path(dir_path)
+        if self._manager.raw_exists(node_path):
+            if self._enclave is not None:
+                self._enclave.platform.crashpoint("anchor:fs-node-delete")
+            self._manager.raw_delete(node_path)
+
+    def _read_anchor_blob(self) -> bytes:
+        return self._manager.raw_read(_ANCHOR_PATH)
+
+    def _persist_anchor(self, blob: bytes) -> None:
+        if self._counter is not None and self._enclave is not None:
+            # The window a cluster failover must close: the quorum
+            # already advanced but the anchor naming the new value is
+            # not yet persisted.  A successor's recovery rolls the
+            # batch back and re-anchors, re-counting the anchor.
+            self._enclave.platform.crashpoint("anchor:fs-counter-incremented")
+        self._manager.raw_write(_ANCHOR_PATH, blob)
+
+    # -- sharded node locks ---------------------------------------------------
+    #
+    # Concurrent requests updating disjoint files still meet at shared
+    # inner nodes (every write propagates to the root), so each node's
+    # load-modify-save runs under a serial shard keyed by the node's
+    # path.  Node *reads* on the verify path ride on the request-level
+    # path locks — a native implementation would use per-node
+    # reader-writer locks there, and exclusive read-side shards would
+    # serialize the disjoint-read fast path this model exists to exhibit.
+
+    def _node_lock(self, dir_path: str) -> AbstractContextManager[None]:
+        """The serial shard guarding one inner node's load-modify-save."""
+        if self._locks is None:
+            return nullcontext()
+        digest = hashlib.sha256(dir_path.encode("utf-8")).digest()
+        return self._locks.shard(
+            "rb-node", int.from_bytes(digest[:4], "big"), shards=LOCK_SHARDS
+        )
+
+    def _anchor_lock(self) -> AbstractContextManager[None]:
+        """The anchor write — and its counter increment — is one serial
+        resource for the whole file system."""
+        if self._locks is None:
+            return nullcontext()
+        return self._locks.serial("rb-anchor", account="anchor-wait")
+
+    # -- layout ---------------------------------------------------------------------
+
+    def _node_main(self, node: _Node) -> bytes:
+        mac = hmac.new(self._key, b"node\x00", hashlib.sha256)
+        mac.update(node.path.encode("utf-8") + b"\x00")
+        mac.update(node.dir_hash)
+        for bucket in node.buckets:
+            mac.update(bucket.digest())
+        self._charge_hash(64 + 40 * len(node.buckets))
+        return mac.digest()
 
     def _bootstrap(self) -> None:
         """First-ever start: anchor the current (normally empty) root directory.
@@ -372,14 +489,24 @@ class RollbackGuard:
         self._save_node(root)
         self._write_anchor(self._node_main(root))
 
-    def rebuild(self) -> None:
-        """Rebuild the whole tree from current storage and re-anchor it.
-
-        Used when enabling rollback protection on an existing share and by
-        the backup-restore flow after a CA-signed reset.
-        """
-        self._walk_dir(ROOT, save=True)
-        self._write_anchor(self.root_hash())
+    def _walk_dir(self, dir_path: str, save: bool) -> bytes:
+        """Recompute one directory's node bottom-up; optionally persist it."""
+        dir_data = self._manager.raw_read(dir_path)
+        node = self._empty_node(dir_path, hashlib.sha256(dir_data).digest())
+        directory = DirectoryFile.deserialize(dir_data)
+        for child in directory.children:
+            for candidate in (child, acl_path(child)):
+                if candidate.endswith("/"):
+                    main = self._walk_dir(candidate, save)
+                elif self._manager.raw_exists(candidate):
+                    data = self._manager.raw_read(candidate)
+                    main = self._leaf_main(candidate, hashlib.sha256(data).digest())
+                else:
+                    continue
+                node.buckets[self._bucket_of(candidate)].add(main)
+        if save:
+            self._save_node(node)
+        return self._node_main(node)
 
     # -- update hooks (called by the trusted file manager) -----------------------------------
 
@@ -524,322 +651,103 @@ class RollbackGuard:
                 return
             dir_path = parent(dir_path)
 
-    # -- maintenance ---------------------------------------------------------------------------
 
-    def root_hash(self) -> bytes:
-        """Current root main hash (for backup/reset flows)."""
-        return self._node_main(self._load_node(ROOT))
-
-    def recompute_root_hash(self) -> bytes:
-        """Full recomputation of the root main hash from storage, without
-        modifying any node — the consistency check of the restore flow."""
-        return self._walk_dir(ROOT, save=False)
-
-    def _walk_dir(self, dir_path: str, save: bool) -> bytes:
-        """Recompute one directory's node bottom-up; optionally persist it."""
-        dir_data = self._manager.raw_read(dir_path)
-        node = self._empty_node(dir_path, hashlib.sha256(dir_data).digest())
-        directory = DirectoryFile.deserialize(dir_data)
-        for child in directory.children:
-            for candidate in (child, acl_path(child)):
-                if candidate.endswith("/"):
-                    main = self._walk_dir(candidate, save)
-                elif self._manager.raw_exists(candidate):
-                    data = self._manager.raw_read(candidate)
-                    main = self._leaf_main(candidate, hashlib.sha256(data).digest())
-                else:
-                    continue
-                node.buckets[self._bucket_of(candidate)].add(main)
-        if save:
-            self._save_node(node)
-        return self._node_main(node)
-
-    def verify_restored_state(self) -> None:
-        """Check a restored backup's internal consistency (paper §V-G).
-
-        The recomputed root hash must match both the restored anchor's
-        value and the restored root node — i.e. the backup is a complete,
-        untampered snapshot.  The counter is *not* checked here; the
-        caller re-anchors afterwards with :meth:`accept_current_state`.
-        """
-        recomputed = self.recompute_root_hash()
-        stored_main, _ = self._read_anchor()
-        if recomputed != stored_main or recomputed != self.root_hash():
-            raise RollbackDetected("restored file system is internally inconsistent")
-
-    def accept_current_state(self) -> None:
-        """Re-anchor the *current* storage state (CA-authorized reset, §V-G).
-
-        Recomputes nothing — the hash tree in storage is taken as-is and
-        the anchor (plus counter) is rewritten to match it.  Only the
-        backup-restore flow may call this, after checking the CA's signed
-        reset message.
-        """
-        self._write_anchor(self.root_hash())
-
-    def verify_anchor_fresh(self) -> None:
-        """Prove the anchor is both ours and *fresh* — degraded mode off.
-
-        A replica catching up after join (or takeover) must not start
-        serving from a rolled-back snapshot just because the quorum is
-        momentarily unreachable, so this check refuses the degraded-read
-        escape hatch that normal reads are allowed.
-        """
-        saved, self.allow_degraded_reads = self.allow_degraded_reads, False
-        try:
-            self._verify_anchor(self.root_hash())
-        finally:
-            self.allow_degraded_reads = saved
-
-
-class FlatStoreGuard:
+class FlatStoreGuard(AnchoredGuard):
     """Rollback protection for the group store (paper: "protecting the
     group store ... is a straightforward adaption").
 
     The group store is flat — the group list, the user registry, and one
-    member list per user — so the tree degenerates to a single inner node
-    with bucket multiset hashes over all leaves.  Leaf enumeration comes
-    from the user registry (itself a protected leaf, so a stale registry
-    is caught like any other leaf).  The node's main hash is anchored,
-    optionally bound to a monotonic counter, exactly as for the content
-    store.
+    member list per user — so the tree degenerates to a single node with
+    bucket multiset hashes over all leaves.  Leaf enumeration comes from
+    the user registry (itself a protected leaf, so a stale registry is
+    caught like any other leaf).  The group guard charges no hash time
+    to the virtual clock.
     """
 
-    _NODE_PATH = GROUP_GUARD_PREFIX + "node"
-    _ANCHOR_PATH = GROUP_GUARD_PREFIX + "anchor"
+    _NODE = _FlatNode
+    _KEY_LABEL = "segshare/rollback-group"
+    _COUNTER_ID = "segshare-group"
+    NAME = "group store"
 
-    def __init__(
-        self,
-        manager: TrustedFileManager,
-        root_key: bytes,
-        buckets: int = 64,
-        enclave: Enclave | None = None,
-        counter: "MonotonicCounter | RoteCounterService | None" = None,
-        counter_id: str = "segshare-group",
-        locks: LockManager | None = None,
-    ) -> None:
-        self._manager = manager
-        self._key = derive_key(root_key, "segshare/rollback-group")
-        self._buckets = buckets
-        self._enclave = enclave
-        self._counter = counter
-        self._counter_id = counter_id
-        # The group store degenerates to one inner node, so its guard has
-        # a single serial lock instead of shards.
-        self._locks = locks
-        self.allow_degraded_reads = True
-        self.degraded_reads = 0
-        self.stats = GuardStats()
-        # Batch mode mirrors RollbackGuard: the single node and anchor
-        # are flushed once per StorageEngine transaction.
-        self._batching = False
-        self._pending_buckets: list[MSetXorHash] | None = None
-        self._pending_main: bytes | None = None
-        if counter is not None and enclave is None:
-            raise RollbackDetected("whole-FS protection needs the owning enclave")
-        if counter is not None and not counter.exists(counter_id):
-            counter.create(enclave, counter_id)
-        if not self._manager.raw_group_exists(self._NODE_PATH):
-            self._bootstrap()
+    def _charge_hash(self, nbytes: int) -> None:
+        pass
 
-    # -- batched updates ------------------------------------------------------------
+    # -- store accessors ------------------------------------------------------------
 
-    def begin_batch(self) -> None:
-        if self._batching:
-            return
-        self._batching = True
-        self._pending_buckets = None
-        self._pending_main = None
+    def _read_node(self, _path: str) -> bytes:
+        return self._manager.raw_group_read(_FLAT_NODE_PATH)
 
-    def commit_batch(self) -> None:
-        if not self._batching:
-            return
-        self._batching = False
-        pending, self._pending_buckets = self._pending_buckets, None
-        main, self._pending_main = self._pending_main, None
-        if pending is not None:
-            self._save_node(pending)
-            self.stats.nodes_flushed += 1
-            self.stats.last_batch_nodes = 1
-        else:
-            self.stats.last_batch_nodes = 0
-        if main is not None:
-            self._write_anchor(main)
-        self.stats.batches += 1
+    def _node_exists(self, _path: str) -> bool:
+        return self._manager.raw_group_exists(_FLAT_NODE_PATH)
 
-    def abort_batch(self) -> None:
-        self._batching = False
-        self._pending_buckets = None
-        self._pending_main = None
-
-    # -- group-commit epoch support (see RollbackGuard) -----------------------------
-
-    def snapshot_pending(self) -> tuple[bytes | None, bytes | None]:
-        if self._pending_buckets is None:
-            serialized = None
-        else:
-            w = Writer().u32(len(self._pending_buckets))
-            for bucket in self._pending_buckets:
-                w.bytes(bucket.serialize())
-            serialized = w.take()
-        return serialized, self._pending_main
-
-    def restore_pending(self, snap: tuple[bytes | None, bytes | None]) -> None:
-        serialized, main = snap
-        self._batching = True
-        if serialized is None:
-            self._pending_buckets = None
-        else:
-            r = Reader(serialized)
-            count = r.u32()
-            self._pending_buckets = [
-                MSetXorHash.deserialize(self._key, r.bytes()) for _ in range(count)
-            ]
-            r.expect_end()
-        self._pending_main = main
-
-    def expected_main(self) -> bytes:
-        """The node main hash the current (possibly pending) state anchors to."""
-        if self._batching and self._pending_main is not None:
-            return self._pending_main
-        r = Reader(self._manager.raw_group_read(self._ANCHOR_PATH))
-        stored_main = r.bytes()
-        r.u64()
-        r.expect_end()
-        return stored_main
-
-    def recompute_main(self) -> bytes:
-        """Recompute the node main hash from stored group files, writing
-        nothing — the consistency check of epoch crash recovery."""
-        buckets = [MSetXorHash(self._key) for _ in range(self._buckets)]
-        for path in self._manager.group_logical_paths():
-            data = self._manager.raw_group_read(path)
-            buckets[self._bucket_of(path)].add(
-                self._leaf_main(path, hashlib.sha256(data).digest())
-            )
-        return self._node_main(buckets)
-
-    def _leaf_main(self, path: str, content_hash: bytes) -> bytes:
-        return hmac.new(
-            self._key, b"leaf\x00" + path.encode("utf-8") + b"\x00" + content_hash, hashlib.sha256
-        ).digest()
-
-    def _bucket_of(self, path: str) -> int:
-        digest = hashlib.sha256(path.encode("utf-8")).digest()
-        return int.from_bytes(digest[:4], "big") % self._buckets
-
-    def _node_main(self, buckets: list[MSetXorHash]) -> bytes:
-        mac = hmac.new(self._key, b"flatnode\x00", hashlib.sha256)
-        for bucket in buckets:
-            mac.update(bucket.digest())
-        return mac.digest()
-
-    # -- node/anchor persistence -------------------------------------------------
-
-    def _load_node(self) -> list[MSetXorHash]:
-        if self._batching and self._pending_buckets is not None:
-            return self._pending_buckets
-        r = Reader(self._manager.raw_group_read(self._NODE_PATH))
-        count = r.u32()
-        buckets = [MSetXorHash.deserialize(self._key, r.bytes()) for _ in range(count)]
-        r.expect_end()
-        return buckets
-
-    def _save_node(self, buckets: list[MSetXorHash]) -> None:
-        if self._batching:
-            self._pending_buckets = buckets
-            return
-        w = Writer().u32(len(buckets))
-        for bucket in buckets:
-            w.bytes(bucket.serialize())
+    def _persist_node(self, node: _Node) -> None:
         if self._enclave is not None:
             self._enclave.platform.crashpoint("anchor:group-node-write")
-        self._manager.raw_group_write(self._NODE_PATH, w.take())
-        self.stats.node_saves += 1
+        self._manager.raw_group_write(_FLAT_NODE_PATH, node.serialize())
 
-    def _node_lock(self) -> AbstractContextManager[None]:
+    def _read_anchor_blob(self) -> bytes:
+        return self._manager.raw_group_read(_FLAT_ANCHOR_PATH)
+
+    def _persist_anchor(self, blob: bytes) -> None:
+        if self._counter is not None and self._enclave is not None:
+            self._enclave.platform.crashpoint("anchor:group-counter-incremented")
+        self._manager.raw_group_write(_FLAT_ANCHOR_PATH, blob)
+
+    # -- locks: one node, so one serial lock instead of shards ----------------------
+
+    def _node_lock(self, _path: str) -> AbstractContextManager[None]:
         if self._locks is None:
             return nullcontext()
         return self._locks.serial("rbg-node", account="guard-shard-wait")
 
-    def _write_anchor(self, main: bytes) -> None:
-        if self._batching:
-            self._pending_main = main
-            return
-        with self._locks.serial("rbg-anchor", account="anchor-wait") if self._locks else nullcontext():
-            counter_value = 0
-            if self._counter is not None:
-                counter_value = self._counter.increment(self._enclave, self._counter_id)
-                if self._enclave is not None:
-                    self._enclave.platform.crashpoint("anchor:group-counter-incremented")
-            self._manager.raw_group_write(
-                self._ANCHOR_PATH, Writer().bytes(main).u64(counter_value).take()
-            )
-        self.stats.anchor_writes += 1
+    def _anchor_lock(self) -> AbstractContextManager[None]:
+        if self._locks is None:
+            return nullcontext()
+        return self._locks.serial("rbg-anchor", account="anchor-wait")
 
-    def _verify_anchor(self, main: bytes) -> None:
-        if self._batching and self._pending_main is not None:
-            if main != self._pending_main:
-                raise RollbackDetected(
-                    "group store root hash does not match the pending anchor"
-                )
-            return
-        r = Reader(self._manager.raw_group_read(self._ANCHOR_PATH))
-        stored_main = r.bytes()
-        stored_counter = r.u64()
-        r.expect_end()
-        if stored_main != main:
-            raise RollbackDetected("group store root hash does not match the anchor")
-        if self._counter is not None:
-            try:
-                current = self._counter.read(self._enclave, self._counter_id)
-            except CounterError:
-                if not self.allow_degraded_reads:
-                    raise
-                self.degraded_reads += 1
-                return
-            if stored_counter != current:
-                raise RollbackDetected(
-                    "group store rolled back: anchor counter "
-                    f"{stored_counter} != TEE counter {current}"
-                )
+    # -- layout ---------------------------------------------------------------------
 
-    def _bootstrap(self) -> None:
-        buckets = [MSetXorHash(self._key) for _ in range(self._buckets)]
+    def _node_main(self, node: _Node) -> bytes:
+        mac = hmac.new(self._key, b"flatnode\x00", hashlib.sha256)
+        for bucket in node.buckets:
+            mac.update(bucket.digest())
+        return mac.digest()
+
+    def _walk_dir(self, _dir_path: str, save: bool) -> bytes:
+        """Recompute the one node from every group file; optionally persist it."""
+        node = self._empty_node(ROOT, b"")
         for path in self._manager.group_logical_paths():
             data = self._manager.raw_group_read(path)
-            buckets[self._bucket_of(path)].add(
+            node.buckets[self._bucket_of(path)].add(
                 self._leaf_main(path, hashlib.sha256(data).digest())
             )
-        self._save_node(buckets)
-        self._write_anchor(self._node_main(buckets))
+        if save:
+            self._save_node(node)
+        return self._node_main(node)
 
     # -- hooks ----------------------------------------------------------------------
 
     def on_write(self, path: str, new_hash: bytes, old_hash: bytes | None) -> None:
         self.stats.updates += 1
-        with self._node_lock():
-            buckets = self._load_node()
-            bucket: set = buckets[self._bucket_of(path)]
-            if old_hash is not None:
-                bucket.remove(self._leaf_main(path, old_hash))
-            bucket.add(self._leaf_main(path, new_hash))
-            self._save_node(buckets)
-        self._write_anchor(self._node_main(buckets))
+        old_main = self._leaf_main(path, old_hash) if old_hash is not None else None
+        self._update_leaf(path, old_main, self._leaf_main(path, new_hash))
 
     def on_delete(self, path: str, old_hash: bytes) -> None:
         self.stats.updates += 1
-        with self._node_lock():
-            buckets = self._load_node()
-            buckets[self._bucket_of(path)].remove(self._leaf_main(path, old_hash))
-            self._save_node(buckets)
-        self._write_anchor(self._node_main(buckets))
+        self._update_leaf(path, self._leaf_main(path, old_hash), None)
+
+    def _update_leaf(self, path: str, old_main: bytes | None, new_main: bytes | None) -> None:
+        with self._node_lock(ROOT):
+            node = self._load_node(ROOT)
+            node.buckets[self._bucket_of(path)].update(old_main, new_main)
+            self._save_node(node)
+        self._write_anchor(self._node_main(node))
 
     def verify_read(self, path: str, content_hash: bytes) -> None:
         """Recompute ``path``'s bucket from all group files in it and check
         it against the anchored node."""
         self.stats.verifies += 1
-        buckets = self._load_node()
+        node = self._load_node(ROOT)
         target_bucket = self._bucket_of(path)
         recomputed = MSetXorHash(self._key)
         seen_target = False
@@ -853,22 +761,9 @@ class FlatStoreGuard:
                 data = self._manager.raw_group_read(member)
                 main = self._leaf_main(member, hashlib.sha256(data).digest())
             recomputed.add(main)
-        if not seen_target or recomputed.digest() != buckets[target_bucket].digest():
+        if not seen_target or recomputed.digest() != node.buckets[target_bucket].digest():
             raise RollbackDetected(
                 f"group store bucket mismatch for {path!r}: a member list or "
                 "the group list was rolled back"
             )
-        self._verify_anchor(self._node_main(buckets))
-
-    def accept_current_state(self) -> None:
-        """Re-anchor the current group store (CA-authorized restore)."""
-        self._bootstrap()
-
-    def verify_anchor_fresh(self) -> None:
-        """Prove the group-store anchor is fresh; see
-        :meth:`RollbackGuard.verify_anchor_fresh`."""
-        saved, self.allow_degraded_reads = self.allow_degraded_reads, False
-        try:
-            self._verify_anchor(self._node_main(self._load_node()))
-        finally:
-            self.allow_degraded_reads = saved
+        self._verify_anchor(self._node_main(node))

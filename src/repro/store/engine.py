@@ -55,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.cache import MetadataCache
     from repro.core.coherence import CoherenceManager
     from repro.core.dedup import DedupStore
-    from repro.core.rollback import FlatStoreGuard, RollbackGuard
+    from repro.core.rollback import AnchoredGuard, FlatStoreGuard, RollbackGuard
     from repro.sgx.enclave import Enclave
 
 #: Values above this are never buffered: the enclave streams large
@@ -414,6 +414,11 @@ class StorageEngine:
         else:
             self.backends = stores
 
+    @property
+    def guards(self) -> "list[AnchoredGuard]":
+        """The installed rollback guards, content tree first."""
+        return [guard for guard in (self.guard, self.group_guard) if guard is not None]
+
     def attach_dedup(self, dedup: "DedupStore | None") -> None:
         """The dedup index must be re-read after an undo-log restore."""
         self.dedup = dedup
@@ -464,7 +469,7 @@ class StorageEngine:
         clock = self._enclave.platform.clock
         if not isinstance(clock, ParallelClock):
             return
-        if (self.guard is not None or self.group_guard is not None) and not self._guard_batching:
+        if self.guards and not self._guard_batching:
             return
         self.group_commit = GroupCommitCoordinator()
 
@@ -610,10 +615,7 @@ class StorageEngine:
             group.members = 0
             group.release = clock.now()
         member_base = journal.begin_member()
-        snap_fs = self.guard.snapshot_pending() if self.guard is not None else None
-        snap_group = (
-            self.group_guard.snapshot_pending() if self.group_guard is not None else None
-        )
+        snaps = [(guard, guard.snapshot_pending()) for guard in self.guards]
         for store in self._deferred:
             store.arm()
         stamp, self.pending_stamp = self.pending_stamp, None
@@ -645,10 +647,8 @@ class StorageEngine:
                 store.discard()
             self._write_backs.clear()
             self._txn_touched.clear()
-            if self.guard is not None and snap_fs is not None:
-                self.guard.restore_pending(snap_fs)
-            if self.group_guard is not None and snap_group is not None:
-                self.group_guard.restore_pending(snap_group)
+            for guard, snap in snaps:
+                guard.restore_pending(snap)
             try:
                 # No anchor was written and no counter incremented since
                 # this member began (both are deferred to epoch close), so
@@ -723,7 +723,7 @@ class StorageEngine:
             stats.max_members = members
         if members > 1:
             saved = members - 1
-            guards = (self.guard is not None) + (self.group_guard is not None)
+            guards = len(self.guards)
             stats.marker_writes_saved += saved
             stats.anchor_writes_saved += saved * guards
             stats.counter_increments_saved += saved * guards
@@ -754,22 +754,16 @@ class StorageEngine:
         """
         if not self._guard_batching:
             return
-        if self.guard is not None:
-            self.guard.begin_batch()
-        if self.group_guard is not None:
-            self.group_guard.begin_batch()
+        for guard in self.guards:
+            guard.begin_batch()
 
     def _commit_guard_batches(self) -> None:
-        if self.guard is not None:
-            self.guard.commit_batch()
-        if self.group_guard is not None:
-            self.group_guard.commit_batch()
+        for guard in self.guards:
+            guard.commit_batch()
 
     def _abort_guard_batches(self) -> None:
-        if self.guard is not None:
-            self.guard.abort_batch()
-        if self.group_guard is not None:
-            self.group_guard.abort_batch()
+        for guard in self.guards:
+            guard.abort_batch()
 
     def _reanchor_guards(self) -> None:
         """Resync in-memory state after an undo-log restore.
@@ -789,10 +783,8 @@ class StorageEngine:
             self.cache.clear()
         if self.dedup is not None:
             self.dedup.reload_index()
-        if self.guard is not None:
-            self.guard.accept_current_state()
-        if self.group_guard is not None:
-            self.group_guard.accept_current_state()
+        for guard in self.guards:
+            guard.accept_current_state()
 
     def _flush_deferred(self) -> None:
         total = 0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.backup import authorize_restore, ca_signed_reset, restore_backup, take_backup
 from repro.core.enclave_app import SeGShareOptions
-from repro.errors import AccessDenied, RequestError
+from repro.errors import AccessDenied, RequestError, RollbackDetected
 
 
 @pytest.fixture()
@@ -77,6 +77,32 @@ class TestProtectedRestore:
         nonce, signature = ca_signed_reset(deployment.ca, other.server)
         with pytest.raises(Exception):
             deployment.server.handle.call("reset_after_restore", nonce, signature)
+
+    def test_spliced_member_list_fails_consistency_check(self, protected_deployment):
+        """The group store gets the same restore check as the content
+        store: a backup whose group store carries a revoked user's old
+        member list is internally inconsistent, so even a CA-signed reset
+        must not re-anchor it (§V-G)."""
+        deployment = protected_deployment
+        alice = deployment.new_user("alice")
+        bob = deployment.new_user("bob")
+        alice.upload("/secret", b"before revocation")
+        alice.add_user("bob", "g")
+        alice.set_permission("/secret", "g", "r")
+        old = take_backup(deployment.server)
+        alice.remove_user("bob", "g")
+        alice.upload("/secret", b"after revocation")
+        new = take_backup(deployment.server)
+        spliced = dict(new["group"])
+        for key, value in old["group"].items():
+            if key.startswith("member:bob\x00"):
+                spliced[key] = value
+        new["group"] = spliced
+        restore_backup(deployment.server, new)
+        with pytest.raises(RollbackDetected, match="restored group store"):
+            authorize_restore(deployment.ca, deployment.server)
+        with pytest.raises((RequestError, AccessDenied)):
+            bob.download("/secret")
 
     def test_tampered_restore_fails_consistency_check(self, protected_deployment):
         """Even with a valid CA reset, an internally inconsistent snapshot

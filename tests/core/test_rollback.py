@@ -1,9 +1,15 @@
 """Rollback protection: the multiset-hash tree and the flat group guard."""
 
+from dataclasses import dataclass
+from typing import Callable
+
 import pytest
 
-from repro.core.rollback import RollbackGuard
-from repro.errors import RollbackDetected
+from repro.core.rollback import AnchoredGuard, FlatStoreGuard, RollbackGuard
+from repro.errors import CounterError, RollbackDetected
+from repro.sgx import RoteCounterService, SgxPlatform
+from repro.sgx.costmodel import SgxCostModel
+from repro.sgx.enclave import Enclave
 from repro.storage.stores import StoreSet
 
 from tests.core.conftest import ROOT_KEY
@@ -198,3 +204,157 @@ class TestFlatGuardUnit:
             world.handler.add_user("alice", f"u{i}", "eng")
             assert "eng" in world.access.user_groups(f"u{i}")
         assert len(world.access.known_users()) == 13  # 12 members + alice
+
+
+class _CounterOwner(Enclave):
+    SIGNER = "rollback-tests"
+
+
+@dataclass
+class Layout:
+    """One guard layout under test, with whole-FS counter protection."""
+
+    guard: AnchoredGuard
+    counter: RoteCounterService
+    #: Two leaf paths for hash-level updates (no stored data behind them).
+    leaves: tuple[str, str]
+    #: Guarded writes of version 1 and 2 of one leaf, a guarded read of
+    #: it, and that leaf's object prefix in ``store``.
+    write_v1: Callable[[], object]
+    write_v2: Callable[[], object]
+    read: Callable[[], object]
+    store: object
+    prefix: str
+
+    def counter_down(self) -> None:
+        for replica in range(2):  # 2 of 4 up: below the quorum of 3
+            self.counter.set_replica_up(replica, False)
+
+    def counter_up(self) -> None:
+        for replica in range(2):
+            self.counter.set_replica_up(replica, True)
+
+
+@pytest.fixture(params=["fs", "group"])
+def layout(request, make_world):
+    """Both guards over one handler stack; the parameter picks the one
+    under test, so every test below runs against both node layouts."""
+    world = make_world()
+    owner = _CounterOwner()
+    SgxPlatform().load(owner)
+    counter = RoteCounterService(None, SgxCostModel(), replicas=4)
+    guards = {
+        "fs": RollbackGuard(world.manager, ROOT_KEY, buckets=4, enclave=owner, counter=counter),
+        "group": FlatStoreGuard(world.manager, ROOT_KEY, buckets=4, enclave=owner, counter=counter),
+    }
+    world.manager.guard = guards["fs"]
+    world.manager.group_guard = guards["group"]
+    handler = world.handler
+    handler.put_dir("alice", "/d/")
+    if request.param == "fs":
+        return Layout(
+            guard=guards["fs"],
+            counter=counter,
+            leaves=("/a", "/d/b"),
+            write_v1=lambda: handler.put_file("alice", "/f", b"v1"),
+            write_v2=lambda: handler.put_file("alice", "/f", b"v2"),
+            read=lambda: world.manager.read_content("/f"),
+            store=world.stores.content,
+            prefix="/f",
+        )
+    return Layout(
+        guard=guards["group"],
+        counter=counter,
+        leaves=("member:x", "member:y"),
+        write_v1=lambda: handler.add_user("alice", "bob", "eng"),
+        write_v2=lambda: handler.remove_user("alice", "bob", "eng"),
+        read=lambda: world.access.user_groups("bob"),
+        store=world.stores.group,
+        prefix="member:bob",
+    )
+
+
+H1, H2 = b"\x01" * 32, b"\x02" * 32
+
+
+class TestGuardSkeleton:
+    """The shared anchored-MSet machinery, once per node layout."""
+
+    def test_batch_commit_and_abort_round_trip(self, layout):
+        guard = layout.guard
+        leaf = layout.leaves[0]
+        before = guard.root_hash()
+        anchor_writes = guard.stats.anchor_writes
+
+        guard.begin_batch()
+        guard.on_write(leaf, H1, None)
+        assert guard.expected_main() != before
+        guard.abort_batch()
+        assert guard.root_hash() == before == guard.expected_main()
+        assert guard.stats.anchor_writes == anchor_writes
+
+        guard.begin_batch()
+        guard.on_write(leaf, H1, None)
+        guard.on_write(leaf, H2, H1)
+        pending = guard.expected_main()
+        assert guard.stats.anchor_writes == anchor_writes  # deferred
+        guard.commit_batch()
+        assert guard.expected_main() == pending == guard.root_hash()
+        assert guard.stats.anchor_writes == anchor_writes + 1  # once per batch
+        assert guard.stats.batches == 1
+
+        guard.on_delete(leaf, H2)
+        assert guard.root_hash() == before
+
+    def test_restore_pending_rewinds_one_member_exactly(self, layout):
+        guard = layout.guard
+        first, second = layout.leaves
+        before = guard.root_hash()
+        guard.begin_batch()
+        guard.on_write(first, H1, None)  # an earlier member's commit
+        snap = guard.snapshot_pending()
+        after_first = guard.expected_main()
+        guard.on_write(second, H2, None)  # the member that aborts
+        guard.on_write(first, H2, H1)
+        guard.restore_pending(snap)
+        assert guard.expected_main() == after_first
+        guard.commit_batch()
+        assert guard.root_hash() == after_first
+        # Undoing the earlier member alone returns to the start: none of
+        # the aborted member's updates survived the rewind.
+        guard.on_delete(first, H1)
+        assert guard.root_hash() == before
+
+    def test_verify_restored_state_rejects_tampered_leaf(self, layout):
+        layout.write_v1()
+        old = snapshot_matching(layout.store, layout.prefix)
+        assert old
+        layout.write_v2()
+        layout.guard.verify_restored_state()  # consistent: no exception
+        restore(layout.store, old)
+        with pytest.raises(RollbackDetected):
+            layout.guard.verify_restored_state()
+
+    def test_degraded_reads_counted_while_counter_unreachable(self, layout):
+        guard = layout.guard
+        layout.write_v1()
+        layout.read()
+        assert guard.degraded_reads == 0
+        layout.counter_down()
+        layout.read()
+        assert guard.degraded_reads > 0
+        guard.allow_degraded_reads = False
+        with pytest.raises(CounterError):
+            layout.read()
+
+    def test_verify_anchor_fresh_refuses_degraded_mode(self, layout):
+        guard = layout.guard
+        layout.write_v1()
+        guard.verify_anchor_fresh()
+        layout.counter_down()
+        with pytest.raises(CounterError):
+            guard.verify_anchor_fresh()
+        assert guard.allow_degraded_reads  # the escape hatch is restored
+        assert guard.degraded_reads == 0
+        layout.counter_up()
+        guard.verify_anchor_fresh()
